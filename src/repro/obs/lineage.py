@@ -109,14 +109,28 @@ class LineageTracker:
                     events_raised, port_accesses) -> None:
         """One TAT dispatch retired (or aborted).  *events_raised* is the
         executor's per-dispatch set (rebound, never mutated, so storing
-        the reference is safe); *port_accesses* is the slice of the port
-        bus access log this dispatch appended."""
+        the reference is safe); *port_accesses* is the list of port bus
+        accesses this dispatch made (handed over, never mutated again), or
+        the shared ``()`` when it made none."""
         self.hops.append((DISPATCH, cycle, index, completed,
                           events_raised, port_accesses))
 
     def on_step(self, cycle: int, step) -> None:
-        """The configuration cycle completed; *step* is its MachineStep."""
-        self.hops.append((STEP, cycle, step))
+        """The configuration cycle completed; *step* is its MachineStep.
+
+        Only the three fields the digester reads are kept, so the step
+        (and its dispatch plan) is not held until the next digest.  A
+        quiescent cycle keeps ``()`` for all three: a tuple of untracked
+        items drops out of the garbage collector's lists, so the most
+        common hop costs the collector nothing while it waits.
+        """
+        sampled = step.events_sampled
+        raised = step.events_raised
+        fired = step.fired
+        if sampled or raised or fired:
+            self.hops.append((STEP, cycle, sampled, raised, fired))
+        else:
+            self.hops.append((STEP, cycle, (), (), ()))
 
     # -- digestion ---------------------------------------------------------
     def _ingest(self) -> None:
@@ -187,7 +201,7 @@ class _Digester:
             if tag == DISPATCH:
                 self._cycle_dispatches.append(hop)
             elif tag == STEP:
-                self._feed_step(hop[1], hop[2])
+                self._feed_step(*hop[1:])
             else:  # INJECT
                 _, event_id, name = hop
                 self.dag.add_node(event_id, "inject", event=name)
@@ -195,9 +209,10 @@ class _Digester:
                 self._tail.append({"kind": INJECT, "id": event_id,
                                    "event": name})
 
-    def _feed_step(self, cycle: int, step) -> None:
+    def _feed_step(self, cycle: int, events_sampled, events_raised,
+                   fired) -> None:
         dag = self.dag
-        sampled = sorted(step.events_sampled)
+        sampled = sorted(events_sampled)
         # latch nodes, fed by pending injections and last cycle's raises
         latch_of: Dict[str, str] = {}
         for name in sampled:
@@ -266,5 +281,5 @@ class _Digester:
         self._tail.extend(dispatch_digests)
         self._tail.append({"kind": STEP, "cycle": cycle,
                            "sampled": sampled,
-                           "raised": sorted(step.events_raised),
-                           "fired": [t.index for t in step.fired]})
+                           "raised": sorted(events_raised),
+                           "fired": [t.index for t in fired]})

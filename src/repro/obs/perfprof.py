@@ -12,7 +12,7 @@ cost along three axes:
   ``sample-events`` (CR sampling + fault injection), ``sla-eval`` (the PLA
   enable product + TAT post), ``dispatch`` (the TAT drain: condition-cache
   copies and TEP routine execution), ``state-update`` (entry/exit sets +
-  exclusivity check) and ``finalize`` (trace/record/history bookkeeping);
+  exclusivity check) and ``finalize`` (trace/recorder/lineage bookkeeping);
 * **routines** — per TEP entry label (transition stubs ``__tN`` and, at
   the ``opcode`` level, the compiled action routines they CALL), with
   *self* vs *cumulative* wall time separated by a frame stack;

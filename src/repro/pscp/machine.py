@@ -23,11 +23,9 @@ parallelism across TEPs is a timing model — see
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.isa.arch import ArchConfig
 from repro.isa.codegen import CompiledProgram
 from repro.isa.isa import Imm, Instruction, LabelRef, Op
 from repro.isa.microcode import cycle_cost
@@ -131,8 +129,6 @@ class PscpMachine:
         pla: Optional[Pla] = None,
         port_bus: Optional[PortBus] = None,
         param_names: Optional[Dict[str, List[str]]] = None,
-        keep_history: bool = True,
-        history_limit: Optional[int] = None,
     ) -> None:
         self.chart = chart
         self.compiled = compiled
@@ -143,7 +139,8 @@ class PscpMachine:
         self.tat = TransitionAddressTable()
         self._param_names = param_names or {}
 
-        stub_instructions, entries = self._build_stubs()
+        stub_instructions, entries = build_transition_stubs(
+            chart, compiled, param_names or None)
         program = compiled.flat_instructions() + stub_instructions
         for index, label in entries.items():
             self.tat.bind(index, label)
@@ -158,12 +155,8 @@ class PscpMachine:
         self._pending_internal_events: Set[str] = set()
         self.time = 0
         self.cycle_count = 0
-        #: step records; a ring buffer when *history_limit* is set, nothing
-        #: at all when *keep_history* is false (attach a tracer to keep a
-        #: durable record of long runs without linear memory growth)
-        self._keep_history = keep_history or history_limit is not None
-        self.history = (deque(maxlen=history_limit)
-                        if history_limit is not None else [])
+        # no step history is kept: callers use the steps step()/run()
+        # return, or attach a FlightRecorder for a bounded tail
         #: observability: ``None`` keeps every hook a no-op guard
         self.tracer = None
         #: hot-path profiler (:class:`repro.obs.perfprof.PerfProfiler`);
@@ -258,9 +251,11 @@ class PscpMachine:
         """Attach a :class:`repro.obs.LineageTracker`: the machine then
         records causal hops — injected event latched, latch enabling a
         dispatch, dispatch raising events and writing ports — as compact
-        tuples on the tracker's hop log.  Pass ``None`` to detach and
-        restore the zero-overhead disabled path."""
+        tuples on the tracker's hop log; the port bus logs accesses only
+        while a tracker is attached.  Pass ``None`` to detach and restore
+        the zero-overhead disabled path."""
         self.lineage = lineage
+        self.ports.access_log = None if lineage is None else []
         if lineage is not None:
             lineage.bind(self)
 
@@ -347,11 +342,6 @@ class PscpMachine:
         """Flush buffered trace state (call before exporting mid-run)."""
         if self.tracer is not None:
             self._flush_idle(self.tracer)
-
-    # -- construction helpers ------------------------------------------------
-    def _build_stubs(self):
-        return build_transition_stubs(
-            self.chart, self.compiled, self._param_names or None)
 
     # -- stepping ----------------------------------------------------------------
     def step(self, external_events: Iterable[str] = ()) -> MachineStep:
@@ -443,16 +433,16 @@ class PscpMachine:
         bridge = self.cond_cache_bridge
         cache = self.executor.condition_cache
         lineage = self.lineage
-        port_log = None if lineage is None else self.ports.access_log
-        log_before = 0
+        ports = self.ports
 
         while not self.tat.empty:
             index = self.tat.pop()
             assert index is not None
             effect = (injector.dispatch_effect(self.cycle_count, index)
                       if injector is not None else None)
-            if lineage is not None:
-                log_before = len(port_log)
+            if lineage is not None and ports.access_log:
+                # accesses made outside a dispatch belong to none
+                ports.access_log = []
             bridge.copy_in(self.cr, cache)
             self.executor.events_raised = set()
             if retired is not None:
@@ -473,10 +463,15 @@ class PscpMachine:
             if lineage is not None:
                 # recorded before the abort branch: an aborted dispatch is
                 # still a causal hop (its raises stay quarantined — the
-                # digester drops them, mirroring the transactional abort)
+                # digester drops them, mirroring the transactional abort).
+                # The tracker keeps the log; a port-free dispatch shares ()
+                accesses = ports.access_log
+                if accesses:
+                    ports.access_log = []
+                else:
+                    accesses = ()
                 lineage.on_dispatch(self.cycle_count, index, completed,
-                                    self.executor.events_raised,
-                                    port_log[log_before:])
+                                    self.executor.events_raised, accesses)
             if not completed:
                 # aborted or runaway: the routine's condition/event effects
                 # are transactional — no copy-back, raised events dropped
@@ -541,8 +536,6 @@ class PscpMachine:
             lineage.on_step(self.cycle_count, step)
         self.time += cycle_length
         self.cycle_count += 1
-        if self._keep_history:
-            self.history.append(step)
         if profiler is not None:
             profiler.sla_cycles += SLA_OVERHEAD_CYCLES
             profiler.dispatch_cycles += makespan
@@ -658,10 +651,10 @@ def build_transition_stubs(
 ) -> Tuple[List[Instruction], Dict[int, str]]:
     """Stub generation with explicit per-routine parameter name lists.
 
-    ``param_names`` maps routine name to its parameter names in order; when
-    ``None`` it is recovered from the compiled objects' cost trees is not
-    possible, so the caller (the flow) should pass it — the fallback assumes
-    parameterless routines only and raises otherwise.
+    ``param_names`` maps routine name to its parameter names in order.  The
+    compiled objects do not record parameter names, so the caller (the
+    flow) should pass them; with ``None`` every routine is assumed
+    parameterless, and a label that passes arguments raises.
     """
     instructions: List[Instruction] = []
     entries: Dict[int, str] = {}

@@ -12,7 +12,6 @@ upward when unspecified, echoing Fig. 2b's 0700/0712/0717).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 ReadHandler = Callable[[], int]
@@ -36,7 +35,10 @@ class PortBus:
         self._readers: Dict[int, ReadHandler] = {}
         self._writers: Dict[int, WriteHandler] = {}
         self._latches: Dict[int, int] = {}
-        self.access_log: List[Tuple[str, int, int]] = []
+        #: ``(kind, address, value)`` accesses; ``None`` (nothing logged)
+        #: unless a lineage tracker is attached to the machine, which then
+        #: takes the list over after every dispatch
+        self.access_log: Optional[List[Tuple[str, int, int]]] = None
         #: fault injection: ``None`` keeps reads on the fault-free path
         self.injector = None
 
@@ -58,11 +60,13 @@ class PortBus:
             raise PortError(f"read from unmapped port 0x{address:x}")
         if self.injector is not None:
             value = self.injector.on_port_read(address, value)
-        self.access_log.append(("r", address, value))
+        if self.access_log is not None:
+            self.access_log.append(("r", address, value))
         return value
 
     def write(self, address: int, value: int) -> None:
-        self.access_log.append(("w", address, value))
+        if self.access_log is not None:
+            self.access_log.append(("w", address, value))
         if address in self._writers:
             self._writers[address](value)
             return

@@ -20,7 +20,7 @@ Flag conventions (documented here once, relied on by the code generator):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.isa.arch import ArchConfig, StorageClass
@@ -207,10 +207,8 @@ class Tep:
             return self._run(entry, max_cycles)
         start_cycles = self.cycles
         start_retired = self.instructions_executed
-        if profiler is None:
-            consumed = self._run(entry, max_cycles)
-        elif profiler.per_opcode:
-            consumed = self._run_profiled(entry, max_cycles, profiler)
+        if profiler is None or profiler.per_opcode:
+            consumed = self._run(entry, max_cycles, profiler)
         else:
             started = profiler.clock()
             try:
@@ -229,47 +227,23 @@ class Tep:
                 {"instructions": self.instructions_executed - start_retired})
         return consumed
 
-    def _run(self, entry: str, max_cycles: int) -> int:
-        if entry not in self.labels:
-            raise TepError(f"unknown entry label {entry!r}")
-        start_cycles = self.cycles
-        pc = self.labels[entry]
-        depth = len(self.call_stack)
-        while True:
-            if pc < 0 or pc >= len(self.program):
-                raise TepError(f"PC out of range: {pc}")
-            instruction = self.program[pc]
-            self.cycles += cycle_cost(instruction, self.arch)
-            self.instructions_executed += 1
-            if self.cycles - start_cycles > max_cycles:
-                raise TepBudgetExceeded(
-                    f"runaway execution in {entry!r} (> {max_cycles} cycles)")
-            if instruction.op is Op.TRET:
-                return self.cycles - start_cycles
-            if instruction.op is Op.RET and len(self.call_stack) == depth:
-                # the return matching this run()'s entry
-                return self.cycles - start_cycles
-            next_pc = self._execute(instruction, pc)
-            if next_pc is None:
-                raise TepError("unbalanced return")
-            pc = next_pc
+    def _run(self, entry: str, max_cycles: int, profiler=None) -> int:
+        """The fetch/charge/execute loop.
 
-    def _run_profiled(self, entry: str, max_cycles: int, profiler) -> int:
-        """The `_run` loop with per-instruction profiler attribution.
-
-        Architecturally identical to :meth:`_run` — same fetch/charge/
-        execute order, same fault surfaces — with each instruction wrapped
-        in clock reads (opcode wall time) and a frame stack mirroring
-        CALL/RET (per-routine self vs cumulative time).  Only reached when
-        ``profiler.per_opcode``; expect whole-multiples of interpreter
-        overhead.  Exceptions (budget overruns, execution faults) close the
-        open frames first so partial runs still show up in the profile.
+        With a per-opcode *profiler*, each executed instruction is wrapped
+        in clock reads (opcode wall time) and a frame stack mirrors
+        CALL/RET (per-routine self vs cumulative time); expect
+        whole-multiples of interpreter overhead.  Exceptions (budget
+        overruns, execution faults) close the open frames first so partial
+        runs still show up in the profile.
         """
         if entry not in self.labels:
             raise TepError(f"unknown entry label {entry!r}")
-        clock = profiler.clock
-        frames: List[list] = []
-        profiler.open_frame(frames, entry)
+        frames: Optional[List[list]] = None
+        if profiler is not None:
+            clock = profiler.clock
+            frames = []
+            profiler.open_frame(frames, entry)
         start_cycles = self.cycles
         pc = self.labels[entry]
         depth = len(self.call_stack)
@@ -286,26 +260,31 @@ class Tep:
                         f"runaway execution in {entry!r} "
                         f"(> {max_cycles} cycles)")
                 op = instruction.op
-                if op is Op.TRET or (op is Op.RET
-                                     and len(self.call_stack) == depth):
-                    profiler.note_opcode(op.name, cost, 0)
+                # TRET, or the RET matching this run()'s entry
+                done = op is Op.TRET or (op is Op.RET
+                                         and len(self.call_stack) == depth)
+                if frames is None:
+                    if done:
+                        return self.cycles - start_cycles
+                    next_pc = self._execute(instruction, pc)
+                else:
+                    elapsed = 0
+                    if not done:
+                        started = clock()
+                        next_pc = self._execute(instruction, pc)
+                        elapsed = clock() - started
+                    profiler.note_opcode(op.name, cost, elapsed)
                     frame = frames[-1]
+                    frame[1] += elapsed
                     frame[3] += cost
                     frame[4] += 1
-                    return self.cycles - start_cycles
-                started = clock()
-                next_pc = self._execute(instruction, pc)
-                elapsed = clock() - started
-                profiler.note_opcode(op.name, cost, elapsed)
-                frame = frames[-1]
-                frame[1] += elapsed
-                frame[3] += cost
-                frame[4] += 1
-                if op is Op.CALL:
-                    # _execute validated the LabelRef operand already
-                    profiler.open_frame(frames, instruction.operand.name)
-                elif op is Op.RET:
-                    profiler.close_frame(frames)
+                    if done:
+                        return self.cycles - start_cycles
+                    if op is Op.CALL:
+                        # _execute validated the LabelRef operand already
+                        profiler.open_frame(frames, instruction.operand.name)
+                    elif op is Op.RET:
+                        profiler.close_frame(frames)
                 if next_pc is None:
                     raise TepError("unbalanced return")
                 pc = next_pc

@@ -19,6 +19,19 @@ FAST_MOTORS = {
 }
 
 
+class ConfigurationObserver:
+    """A recorder that keeps only the union of visited configurations."""
+
+    def __init__(self):
+        self.visited = set()
+
+    def bind(self, machine):
+        pass
+
+    def record_step(self, cycle, step):
+        self.visited.update(step.configuration)
+
+
 @pytest.fixture(scope="module")
 def optimized_system():
     arch = MD16_TEP.with_(microcode_optimized=True)
@@ -81,9 +94,8 @@ class TestRunLoop:
 
     def test_machine_visits_expected_states(self, optimized_system):
         loop = SmdClosedLoop(optimized_system, motor_specs=FAST_MOTORS)
+        observer = ConfigurationObserver()
+        loop.machine.attach_recorder(observer)
         loop.run([MoveCommand(10, 10, 2)], max_configuration_cycles=15000)
-        visited = set()
-        for step in loop.machine.history:
-            visited |= set(step.configuration)
         assert {"Idle1", "Operation", "OpcodeReady", "Moving",
-                "RunX", "RunY", "RunPhi"} <= visited
+                "RunX", "RunY", "RunPhi"} <= observer.visited

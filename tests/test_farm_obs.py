@@ -15,9 +15,11 @@ The load-bearing properties:
   nothing.
 """
 
+import gc
 import io
 import json
 import random
+import weakref
 
 import pytest
 
@@ -104,9 +106,9 @@ class TestFlightRecorder:
         machine = system.make_machine()
         recorder = FlightRecorder(capacity=6)
         machine.attach_recorder(recorder)
-        for events in round_robin_stimulus(system.chart, 15):
-            machine.step(events)
-        tail = machine.history[-6:]
+        steps = [machine.step(events)
+                 for events in round_robin_stimulus(system.chart, 15)]
+        tail = steps[-6:]
         entries = recorder.entries()
         assert [e["fired"] for e in entries] == \
             [[t.index for t in s.fired] for s in tail]
@@ -421,6 +423,18 @@ def chaos_run(system):
     stream = generate_event_stream(system.chart.events, 80, seed=3)
     report = supervisor.run(stream)
     return supervisor, sampler, report
+
+
+class TestWorkerRetention:
+    def test_worker_machine_drops_returned_steps(self, system):
+        supervisor = Supervisor.for_system(system, n_workers=1)
+        machine = supervisor.workers[0].machine
+        stimulus = round_robin_stimulus(system.chart, 20)
+        first = weakref.ref(machine.step(stimulus[0]))
+        for events in stimulus[1:]:
+            machine.step(events)
+        gc.collect()
+        assert first() is None
 
 
 class TestFarmSampler:

@@ -19,7 +19,9 @@ The load-bearing properties:
   exactly one of processed/shed/rejected.
 """
 
+import gc
 import json
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -35,7 +37,9 @@ from repro.obs import (
     render_chain,
     render_forensics,
 )
+from repro.obs.lineage import DISPATCH
 from repro.pscp.trace import DeadlineMonitor
+from repro.statechart import ChartBuilder, PortKind
 from repro.workloads.generators import parallel_servers, pipeline_chart
 
 
@@ -58,6 +62,26 @@ def servers_system():
 @pytest.fixture(scope="module")
 def pipeline_system():
     chart, routines = pipeline_chart(3)
+    arch = select_initial_architecture(chart, routines)
+    return build_system(chart, routines, arch)
+
+
+@pytest.fixture(scope="module")
+def echo_system():
+    b = ChartBuilder("echo")
+    b.event("GO").event("IDLE")
+    b.port("In", PortKind.DATA, width=8, address=0x700)
+    b.port("Out", PortKind.DATA, width=8, address=0x701)
+    with b.or_state("Main", default="S"):
+        s = b.basic("S")
+        s.transition("S", label="GO/Echo()")
+        s.transition("S", label="IDLE/Count()")
+    chart = b.build()
+    routines = """
+int:8 n;
+void Echo() { n = n + 1; WritePort(Out, ReadPort(In) + n); }
+void Count() { n = n + 1; }
+"""
     arch = select_initial_architecture(chart, routines)
     return build_system(chart, routines, arch)
 
@@ -142,6 +166,37 @@ class TestMachineLineage:
             return lineage.dag().dumps()
 
         assert once() == once()
+
+    def test_dispatch_port_writes_become_nodes(self, echo_system):
+        lineage = LineageTracker()
+        machine = echo_system.make_machine()
+        machine.attach_lineage(lineage)
+        machine.ports.write(0x700, 4)  # outside any dispatch: no hop
+        machine.step(["GO"])
+        machine.step(["IDLE"])
+        port_free = [hop[5] for hop in lineage.hops
+                     if hop[0] == DISPATCH and hop[2] == 1]
+        assert port_free == [()]
+        machine.ports.write(0x700, 10)
+        machine.step(["GO"])
+        dag = lineage.dag()
+        ports = sorted(n for n in dag.nodes if n.startswith("port:"))
+        assert ports == [f"port:0:t0:{0x701}:1", f"port:2:t0:{0x701}:1"]
+        assert [dag.nodes[p]["value"] for p in ports] == [5, 13]
+        machine.attach_lineage(None)
+        assert machine.ports.access_log is None
+
+    def test_step_hops_do_not_hold_the_step(self, servers_system):
+        lineage = LineageTracker()
+        machine = servers_system.make_machine()
+        machine.attach_lineage(lineage)
+        first = weakref.ref(machine.step(["START"]))
+        machine.step([])
+        gc.collect()
+        assert first() is None  # the hop log kept only the digested fields
+        quiescent = lineage.hops[-1]
+        assert quiescent[0] == "step" and quiescent[2:] == ((), (), ())
+        assert "latch:0:START" in lineage.dag().nodes
 
     def test_detached_machine_carries_no_tracker(self, servers_system):
         machine = servers_system.make_machine()

@@ -111,10 +111,9 @@ class TestMachineEdgeCases:
 
     def test_history_records_every_cycle(self):
         chart, machine = self.make_machine()
-        machine.step({"E"})
-        machine.step()
-        assert len(machine.history) == 2
-        assert machine.history[0].fired and machine.history[1].quiescent
+        steps = machine.run([{"E"}, set()])
+        assert len(steps) == 2
+        assert steps[0].fired and steps[1].quiescent
 
     def test_step_events_sampled_reported(self):
         chart, machine = self.make_machine()

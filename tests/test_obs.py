@@ -6,8 +6,10 @@ observe the machine without perturbing it — identical ``MachineStep``
 results, cycle counts and architectural state with tracing on and off.
 """
 
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
@@ -29,14 +31,14 @@ from repro.sla.blif import emit_blif, parse_blif
 from repro.statechart import ChartBuilder
 
 
-def build_machine(chart, source, arch=MD16_TEP, **kwargs):
+def build_machine(chart, source, arch=MD16_TEP):
     externals = Externals.from_chart(chart)
     checked = prepare_program(source, arch, externals)
     maps = NameMaps.from_chart(chart)
     compiled = CodeGenerator(checked, arch, maps=maps).compile()
     params = {f.name: [p.name for p in f.params]
               for f in checked.program.functions}
-    return PscpMachine(chart, compiled, param_names=params, **kwargs)
+    return PscpMachine(chart, compiled, param_names=params)
 
 
 def pingpong_chart():
@@ -137,10 +139,12 @@ class TestMachineTracing:
         assert {"GO", "BACK"} <= instants
 
     def test_cache_traffic_counted(self):
-        machine, tracer = self.trace()
+        machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
+        tracer = Tracer()
+        machine.attach_tracer(tracer)
+        steps = machine.run(STIMULUS)
         bridge = machine.cond_cache_bridge
-        assert bridge.transfers == sum(
-            len(s.fired) for s in machine.history)
+        assert bridge.transfers == sum(len(s.fired) for s in steps)
         assert bridge.words_copied_in == bridge.words_copied_back > 0
         counters = [e for e in tracer.events if e[0] == "C"]
         assert sum(e[4] for e in counters) == bridge.words_total
@@ -158,26 +162,18 @@ class TestTepTracing:
 
 
 class TestHistoryModes:
-    def test_default_history_unbounded(self):
+    def test_run_returns_every_step(self):
         machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
-        machine.run(STIMULUS)
-        assert len(machine.history) == len(STIMULUS)
-
-    def test_keep_history_false_records_nothing(self):
-        machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES,
-                                keep_history=False)
         steps = machine.run(STIMULUS)
-        assert len(steps) == len(STIMULUS)  # steps still returned
-        assert len(machine.history) == 0
-        assert machine.cycle_count == len(STIMULUS)
+        assert len(steps) == len(STIMULUS) == machine.cycle_count
+        assert steps[-1].end_time == machine.time
 
-    def test_history_limit_is_a_ring_buffer(self):
-        machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES,
-                                history_limit=2)
+    def test_machine_drops_returned_steps(self):
+        machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
+        first = weakref.ref(machine.step({"GO"}))
         machine.run(STIMULUS)
-        assert len(machine.history) == 2
-        newest = machine.history[-1]
-        assert newest.end_time == machine.time
+        gc.collect()
+        assert first() is None
 
 
 class TestMetrics:

@@ -1,6 +1,9 @@
 """Tests for the PSCP machine: scheduler, CR, ports, timers, and the
 machine-vs-interpreter equivalence property."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +23,7 @@ from repro.pscp import (
     round_robin_dispatch,
     stub_wcet,
 )
-from repro.statechart import ChartBuilder, Interpreter
+from repro.statechart import ChartBuilder, Interpreter, PortKind
 
 
 def build_machine(chart, source, arch=MD16_TEP, port_bus=None):
@@ -112,9 +115,8 @@ class TestMachineBasics:
 
     def test_time_accumulates(self):
         machine = build_machine(counter_chart(), COUNTER_SRC)
-        machine.step({"GO"})
-        machine.step({"STEP"})
-        assert machine.time == sum(s.cycle_length for s in machine.history)
+        steps = [machine.step({"GO"}), machine.step({"STEP"})]
+        assert machine.time == sum(s.cycle_length for s in steps)
 
     def test_events_last_single_cycle(self):
         machine = build_machine(counter_chart(), COUNTER_SRC)
@@ -286,7 +288,28 @@ class TestPortBus:
         bus = PortBus()
         bus.write(1, 5)
         bus.read(1)
-        assert bus.access_log == [("w", 1, 5), ("r", 1, 5)]
+        assert bus.access_log is None
+        bus.access_log = []
+        bus.write(1, 6)
+        bus.read(1)
+        assert bus.access_log == [("w", 1, 6), ("r", 1, 6)]
+
+    def test_bare_machine_retains_no_port_accesses(self):
+        b = ChartBuilder("echo")
+        b.event("GO")
+        b.port("In", PortKind.DATA, width=8, address=0x700)
+        b.port("Out", PortKind.DATA, width=8, address=0x701)
+        with b.or_state("Main", default="S"):
+            b.basic("S").transition("S", label="GO/Echo()")
+        chart = b.build()
+        source = "void Echo() { WritePort(Out, ReadPort(In) + 1); }"
+        bus = PortBus()
+        written = []
+        bus.map_write(0x701, written.append)
+        machine = build_machine(chart, source, port_bus=bus)
+        machine.run([{"GO"}] * 50)
+        assert len(written) == 50
+        assert machine.ports.access_log is None
 
 
 class TestTimers:
