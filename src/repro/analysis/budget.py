@@ -3,7 +3,7 @@
 Relates the three timing artifacts the flow already computes:
 
 * the per-transition static cost from the ISA cost model
-  (:func:`repro.pscp.machine.stub_wcet` + scheduler dispatch overhead),
+  (:func:`repro.pscp.machine.stub_wcets` + scheduler dispatch overhead),
 * explicit ``wcet N`` overrides on transitions — the paper's "explicit
   timing constraints" escape hatch for un-analyzable routines, and
 * event arrival periods, which the timing validator turns into cycle
@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from repro.analysis.diag import Collector, Diagnostic, SourceLocation
 from repro.flow.build import BuiltSystem
-from repro.pscp.machine import stub_wcet
+from repro.pscp.machine import stub_wcets
 from repro.statechart.model import Chart
 
 
@@ -42,12 +42,14 @@ def budget_lint(system: BuiltSystem,
     chart = system.chart
     lines = original_chart or chart
 
-    for transition in chart.transitions:
-        if transition.wcet_override is None:
-            continue
-        derived = stub_wcet(
-            dataclasses.replace(transition, wcet_override=None),
-            system.compiled, system.param_names)
+    overridden = [transition for transition in chart.transitions
+                  if transition.wcet_override is not None]
+    analyzed = stub_wcets(
+        [dataclasses.replace(transition, wcet_override=None)
+         for transition in overridden],
+        system.compiled, system.param_names)
+    for transition in overridden:
+        derived = analyzed[transition.index]
         if transition.wcet_override < derived:
             line = None
             if transition.index < len(lines.transitions):

@@ -339,7 +339,7 @@ def run_trace(argv: List[str], out=sys.stdout) -> int:
 
 
 #: bump when the ``repro stats --json`` document layout changes
-STATS_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 
 
 def run_stats(argv: List[str], out=sys.stdout) -> int:
@@ -363,6 +363,7 @@ def run_stats(argv: List[str], out=sys.stdout) -> int:
     system = _build_for_simulation(chart, routine_text, args)
     metrics = MetricsRegistry()
     machine, report = _simulate(system, args.cycles, None, metrics)
+    memo = machine.pla.memo_stats
     if args.json:
         document = {
             "schema_version": STATS_SCHEMA_VERSION,
@@ -371,6 +372,7 @@ def run_stats(argv: List[str], out=sys.stdout) -> int:
             "configuration_cycles": machine.cycle_count,
             "reference_cycles": machine.time,
             "metrics": metrics.collect(),
+            "sla_memo": memo._asdict(),
         }
         if report is not None:
             document["deadlines"] = [
@@ -385,6 +387,8 @@ def run_stats(argv: List[str], out=sys.stdout) -> int:
     print(f"chart {chart.name!r} on {system.arch.describe()}: "
           f"{machine.cycle_count} configuration cycles, "
           f"{machine.time} reference cycles", file=out)
+    print(f"SLA memo: {memo.hits} hits, {memo.misses} misses, "
+          f"{memo.size} of {memo.limit} entries", file=out)
     if report is not None:
         rows = [(d.event, d.period, d.worst_latency, d.misses)
                 for d in report.deadline_reports]
@@ -995,6 +999,9 @@ def run_bench(argv: List[str], out=sys.stdout) -> int:
             per_cycle = workload["throughput"].get("ns_per_reference_cycle")
             if per_cycle is not None:
                 line += f", {per_cycle:.0f} ns/ref-cycle"
+            memo = workload["profile"]["sla_memo"]
+            line += (f", SLA memo {memo['hits']} hits / {memo['misses']} "
+                     f"misses / {memo['size']} entries")
             print(line, file=out)
         print(f"wrote {args.out}", file=out)
         if args.update_baseline:

@@ -185,7 +185,7 @@ class MachineGuard:
     def bind(self, machine) -> None:
         """Called by :meth:`PscpMachine.attach_guard`: pre-compute the
         per-transition watchdog budgets and resolve the safe state."""
-        from repro.pscp.machine import stub_wcet
+        from repro.pscp.machine import stub_wcets
 
         self.machine = machine
         self.safe_state = (self._safe_state_override
@@ -194,13 +194,11 @@ class MachineGuard:
         problems = configuration_problems(machine.chart, self.safe_state)
         if problems:
             raise ValueError(f"declared safe state is illegal: {problems}")
+        wcets = stub_wcets(machine.chart.transitions, machine.compiled,
+                           machine._param_names or None)
         self.budgets = {
-            transition.index: int(
-                self.watchdog_margin
-                * stub_wcet(transition, machine.compiled,
-                            machine._param_names or None)
-            ) + self.watchdog_slack
-            for transition in machine.chart.transitions
+            index: int(self.watchdog_margin * wcet) + self.watchdog_slack
+            for index, wcet in wcets.items()
         }
 
     def attach_tracer(self, tracer) -> None:

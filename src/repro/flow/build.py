@@ -22,7 +22,7 @@ from repro.hw.area import AppStats, AreaEstimate, estimate_area
 from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.codegen import CodeGenerator, CompiledProgram, NameMaps, prepare_program
 from repro.isa.microcode import DecoderRom
-from repro.pscp.machine import PscpMachine, stub_wcet
+from repro.pscp.machine import PscpMachine, stub_wcets
 from repro.pscp.ports import PortBus
 from repro.pscp.scheduler import DISPATCH_OVERHEAD_CYCLES
 from repro.sla.synth import Pla, synthesize
@@ -84,12 +84,9 @@ class BuiltSystem:
 def transition_cost_map(chart: Chart, compiled: CompiledProgram,
                         param_names: Dict[str, List[str]]) -> Dict[int, int]:
     """Static per-transition cost: stub + routine + dispatch overhead."""
-    return {
-        transition.index:
-            stub_wcet(transition, compiled, param_names)
-            + DISPATCH_OVERHEAD_CYCLES
-        for transition in chart.transitions
-    }
+    wcets = stub_wcets(chart.transitions, compiled, param_names)
+    return {index: wcet + DISPATCH_OVERHEAD_CYCLES
+            for index, wcet in wcets.items()}
 
 
 def _enum_value_map(program) -> Dict[str, int]:

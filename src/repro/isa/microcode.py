@@ -39,6 +39,7 @@ optimize_microprogram` performs exactly that rewrite.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -295,6 +296,11 @@ def _body(instruction: Instruction, arch: ArchConfig) -> List[MicroOp]:
 PIPELINE_FLUSH_CYCLES = 2
 
 
+#: most (instruction, architecture) pairs :func:`cycle_cost` remembers
+CYCLE_COST_MEMO_LIMIT = 4096
+
+
+@functools.lru_cache(maxsize=CYCLE_COST_MEMO_LIMIT)
 def cycle_cost(instruction: Instruction, arch: ArchConfig) -> int:
     """Execution time of *instruction* in clock cycles on *arch*.
 
@@ -303,6 +309,9 @@ def cycle_cost(instruction: Instruction, arch: ArchConfig) -> int:
     control transfers flush the pipeline and pay them back (plus the flush
     penalty), so branch-heavy code gains less — the classic pipelining
     trade-off, priced at the microprogram level.
+
+    Both arguments are frozen, so results are memoized in a bounded LRU;
+    the WCET trees and every TEP's per-pc cost vector share it.
     """
     length = len(microprogram(instruction, arch))
     if not arch.pipelined:

@@ -12,9 +12,10 @@ debugging needs, at near-zero steady-state cost.
 Near-zero overhead
 ------------------
 
-The hot path appends one tuple per configuration cycle, referencing the
-:class:`~repro.pscp.machine.MachineStep` the machine built anyway — no
-digesting, no string formatting, no dict allocation.  Digesting into
+The hot path stores one reference per configuration cycle — the
+:class:`~repro.pscp.machine.MachineStep` the machine built anyway, or just
+the start time of a bare cycle — and its cycle number in a parallel ring:
+no digesting, no string formatting, no allocation.  Digesting into
 JSON-ready form happens only when a bundle is dumped or the ring is
 captured into a snapshot.  ``scripts/check_overhead.py`` enforces the
 budget: a recorder-attached, tracing-off run must stay within the same
@@ -56,17 +57,18 @@ class FlightRecorder:
     entries were dropped.
     """
 
-    __slots__ = ("capacity", "_ring", "_head", "recorded",
+    __slots__ = ("capacity", "_ring", "_cycles", "recorded",
                  "last_checkpoint", "last_escalation", "machine")
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity
-        #: fixed-size ring written round-robin: one preallocated list plus
-        #: an integer head keeps the hot path to an index store
+        #: fixed-size rings written round-robin at ``recorded % capacity``:
+        #: steps (or mark dicts) and, in parallel, each step's cycle, so
+        #: the hot path is two index stores and allocates nothing
         self._ring: List[Any] = [None] * capacity
-        self._head = 0
+        self._cycles: List[Optional[int]] = [None] * capacity
         self.recorded = 0
         self.last_checkpoint: Optional[str] = None
         self.last_escalation: Optional[Dict[str, Any]] = None
@@ -79,12 +81,21 @@ class FlightRecorder:
 
     # -- the hot path ------------------------------------------------------
     def record_step(self, cycle: int, step) -> None:
-        """Append one cycle digest (a reference, digested lazily)."""
-        head = self._head
-        self._ring[head] = (cycle, step)
-        head += 1
-        self._head = 0 if head == self.capacity else head
-        self.recorded += 1
+        """Append one cycle digest (a reference, digested lazily).
+
+        A bare cycle — nothing sampled, nothing dispatched, no fault or
+        recovery — is kept as its start time alone, which is all that
+        varies between such cycles; the step itself is released while it
+        is still hot in the cache instead of a ring's length later."""
+        recorded = self.recorded
+        index = recorded % self.capacity
+        if (step.plan is None and not step.events_sampled
+                and not step.faults and not step.recoveries):
+            self._ring[index] = step.start_time
+        else:
+            self._ring[index] = step
+        self._cycles[index] = cycle
+        self.recorded = recorded + 1
 
     # -- marks -------------------------------------------------------------
     def note_checkpoint(self, cycle: int, ref: str) -> None:
@@ -100,11 +111,9 @@ class FlightRecorder:
                             "escalation": kind, "detail": detail})
 
     def _append_entry(self, entry: Dict[str, Any]) -> None:
-        head = self._head
-        self._ring[head] = entry
-        head += 1
-        self._head = 0 if head == self.capacity else head
-        self.recorded += 1
+        recorded = self.recorded
+        self._ring[recorded % self.capacity] = entry
+        self.recorded = recorded + 1
 
     # -- reading back ------------------------------------------------------
     def __len__(self) -> int:
@@ -118,10 +127,11 @@ class FlightRecorder:
     def entries(self) -> List[Dict[str, Any]]:
         """The ring contents, oldest first, as JSON-ready digests."""
         length = len(self)
-        start = (self._head - length) % self.capacity
+        start = (self.recorded - length) % self.capacity
         out: List[Dict[str, Any]] = []
         for offset in range(length):
-            out.append(_digest(self._ring[(start + offset) % self.capacity]))
+            index = (start + offset) % self.capacity
+            out.append(_digest(self._ring[index], self._cycles[index]))
         return out
 
     def step_entries(self) -> List[Dict[str, Any]]:
@@ -129,7 +139,7 @@ class FlightRecorder:
 
     def clear(self) -> None:
         self._ring = [None] * self.capacity
-        self._head = 0
+        self._cycles = [None] * self.capacity
         self.recorded = 0
         self.last_checkpoint = None
         self.last_escalation = None
@@ -152,10 +162,11 @@ class FlightRecorder:
         self.capacity = state["capacity"]
         entries = list(state["entries"])[-self.capacity:]
         self._ring = [None] * self.capacity
-        for index, entry in enumerate(entries):
-            self._ring[index] = entry
-        self._head = len(entries) % self.capacity
+        self._cycles = [None] * self.capacity
         self.recorded = state["recorded"]
+        start = self.recorded - len(entries)
+        for offset, entry in enumerate(entries):
+            self._ring[(start + offset) % self.capacity] = entry
         self.last_checkpoint = state["last_checkpoint"]
         self.last_escalation = state["last_escalation"]
 
@@ -207,16 +218,33 @@ class FlightRecorder:
 # digesting
 # ---------------------------------------------------------------------------
 
-def _digest(entry) -> Dict[str, Any]:
+def _digest(entry, cycle: Optional[int]) -> Dict[str, Any]:
     """Normalize one ring entry to its canonical JSON-ready form.
 
-    Hot-path step entries are ``(cycle, MachineStep)`` tuples; marks and
-    restored entries are already dicts and pass through unchanged (so a
-    snapshot round trip re-digests to identical JSON).
+    Hot-path step entries are ``MachineStep`` references (or a bare
+    cycle's start time) with their *cycle* from the parallel ring; marks
+    and restored entries are already dicts and pass through unchanged (so
+    a snapshot round trip re-digests to identical JSON).
     """
     if isinstance(entry, dict):
         return entry
-    cycle, step = entry
+    if isinstance(entry, int):
+        # a bare cycle (see record_step): no dispatch, so the cycle was
+        # exactly the SLA evaluation
+        from repro.pscp.scheduler import SLA_OVERHEAD_CYCLES
+
+        return {
+            "kind": STEP,
+            "cycle": cycle,
+            "start": entry,
+            "length": SLA_OVERHEAD_CYCLES,
+            "fired": [],
+            "sampled": [],
+            "raised": [],
+            "faults": [],
+            "recoveries": [],
+        }
+    step = entry
     return {
         "kind": STEP,
         "cycle": cycle,

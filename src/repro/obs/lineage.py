@@ -16,9 +16,11 @@ Zero overhead when detached
 
 ``PscpMachine.lineage`` is ``None`` by default and every hook is a
 ``None`` guard.  Attached, the cost per configuration cycle is one tuple
-append plus two appends per dispatched transition — enforced by the
-``lineage`` leg of ``scripts/check_overhead.py`` under the same hard <5%
-paired budget as the recorder and profiler legs.
+append plus two appends per dispatched transition; a run of quiescent
+cycles shares one hop extended in place, so a quiet stretch appends and
+allocates nothing.  The ``lineage`` leg of ``scripts/check_overhead.py``
+holds it to the same hard <5% paired budget as the recorder and profiler
+legs.
 
 Identity scheme
 ---------------
@@ -63,7 +65,7 @@ class LineageTracker:
     :meth:`tail` keeps the last few digested hops for forensics bundles.
     """
 
-    __slots__ = ("origin", "hops", "_seq", "_digester", "_tail",
+    __slots__ = ("origin", "hops", "_quiet", "_seq", "_digester", "_tail",
                  "_transitions", "_event_index_to_name", "chart")
 
     def __init__(self, origin: str = "m0",
@@ -71,6 +73,9 @@ class LineageTracker:
         self.origin = origin
         #: the hot-path hop log; cleared on every ingest
         self.hops: List[Tuple] = []
+        #: ``[first, last]`` cycle of the quiescent-run hop at the end of
+        #: :attr:`hops`, or ``None`` when the last hop is anything else
+        self._quiet: Optional[List[int]] = None
         self._seq = 0
         self._digester: Optional[_Digester] = None
         self._tail: Deque[Dict[str, Any]] = deque(maxlen=tail_limit)
@@ -101,6 +106,7 @@ class LineageTracker:
         if event_id is None:
             event_id = f"ev:{self.origin}:{self._seq}"
             self._seq += 1
+        self._quiet = None
         self.hops.append((INJECT, event_id, name))
         return event_id
 
@@ -112,6 +118,7 @@ class LineageTracker:
         the reference is safe); *port_accesses* is the list of port bus
         accesses this dispatch made (handed over, never mutated again), or
         the shared ``()`` when it made none."""
+        self._quiet = None
         self.hops.append((DISPATCH, cycle, index, completed,
                           events_raised, port_accesses))
 
@@ -120,23 +127,31 @@ class LineageTracker:
 
         Only the three fields the digester reads are kept, so the step
         (and its dispatch plan) is not held until the next digest.  A
-        quiescent cycle keeps ``()`` for all three: a tuple of untracked
-        items drops out of the garbage collector's lists, so the most
-        common hop costs the collector nothing while it waits.
+        quiescent cycle keeps ``()`` for all three, and consecutive
+        quiescent cycles share one hop whose cycle field is a ``[first,
+        last]`` list extended in place: the most common cycle allocates
+        nothing and the log grows with activity, not with time.
         """
         sampled = step.events_sampled
         raised = step.events_raised
         fired = step.fired
         if sampled or raised or fired:
+            self._quiet = None
             self.hops.append((STEP, cycle, sampled, raised, fired))
+            return
+        run = self._quiet
+        if run is not None and run[1] + 1 == cycle:
+            run[1] = cycle
         else:
-            self.hops.append((STEP, cycle, (), (), ()))
+            run = self._quiet = [cycle, cycle]
+            self.hops.append((STEP, run, (), (), ()))
 
     # -- digestion ---------------------------------------------------------
     def _ingest(self) -> None:
         if not self.hops:
             return
         hops, self.hops = self.hops, []
+        self._quiet = None
         self._require_digester().feed(hops)
 
     def _require_digester(self) -> "_Digester":
@@ -201,7 +216,12 @@ class _Digester:
             if tag == DISPATCH:
                 self._cycle_dispatches.append(hop)
             elif tag == STEP:
-                self._feed_step(*hop[1:])
+                cycle = hop[1]
+                if cycle.__class__ is list:  # a quiescent run, see on_step
+                    for quiet in range(cycle[0], cycle[1] + 1):
+                        self._feed_step(quiet, (), (), ())
+                else:
+                    self._feed_step(*hop[1:])
             else:  # INJECT
                 _, event_id, name = hop
                 self.dag.add_node(event_id, "inject", event=name)

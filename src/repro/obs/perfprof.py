@@ -137,9 +137,8 @@ class PerfProfiler:
         self.steps = 0
         #: configuration cycles whose phase boundaries were clocked
         self.sampled_steps = 0
-        #: exact modeled cycles charged by the scheduler while attached
-        #: (SLA overhead per step / the per-step dispatch makespan)
-        self.sla_cycles = 0
+        #: exact modeled dispatch makespans charged while attached (the
+        #: SLA overhead is :attr:`sla_cycles`, derived from :attr:`steps`)
         self.dispatch_cycles = 0
         #: pretty names for entry labels (``__t3`` -> ``t3 Work``), bound
         #: by :meth:`repro.pscp.machine.PscpMachine.attach_profiler`
@@ -218,8 +217,15 @@ class PerfProfiler:
         self.opcodes.clear()
         self.steps = 0
         self.sampled_steps = 0
-        self.sla_cycles = 0
         self.dispatch_cycles = 0
+
+    @property
+    def sla_cycles(self) -> int:
+        """Exact modeled SLA overhead charged while attached: every
+        configuration cycle pays the same fixed SLA evaluation."""
+        from repro.pscp.scheduler import SLA_OVERHEAD_CYCLES
+
+        return self.steps * SLA_OVERHEAD_CYCLES
 
     @property
     def phase_scale(self) -> float:

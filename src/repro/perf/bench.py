@@ -20,7 +20,10 @@ Every workload contributes four sections:
   environment fingerprints match.
 * ``profile`` — the opcode-level :class:`~repro.obs.perfprof.PerfProfiler`
   top-N from one untimed repetition: where the *host* time goes.  Modeled
-  cycles and call counts are exact; wall shares are informational.
+  cycles and call counts are exact; wall shares are informational.  Its
+  ``sla_memo`` entry is the workload's SLA memo traffic
+  (:attr:`repro.sla.Pla.memo_stats`) over every repetition, the profiled
+  one included.
 
 The committed baseline lives at ``benchmarks/perf_baseline.json``;
 ``repro bench --compare`` (see :mod:`repro.perf.compare`) diffs a fresh
@@ -66,7 +69,8 @@ def fingerprint() -> Dict[str, str]:
 # ---------------------------------------------------------------------------
 
 class BenchWorkload:
-    """One pinned workload: built once, run once per repetition.
+    """One pinned workload: built once (as :attr:`system`), run once per
+    repetition.
 
     ``run_rep()`` simulates from a fresh machine and returns the rep's
     ``{"determinism": ..., "latency": ..., "counts": ...}`` record —
@@ -410,6 +414,7 @@ def run_bench(workloads: Optional[Sequence[str]] = None, repeats: int = 3,
         rep = timing.payload
         say(f"profiling workload {name} ...")
         profile = built[name].profile(profile_top)
+        profile["sla_memo"] = built[name].system.pla.memo_stats._asdict()
         document["workloads"][name] = {
             "determinism": rep["determinism"],
             "latency": rep["latency"],

@@ -13,6 +13,7 @@ from repro.pscp.machine import (
     PscpMachine,
     build_transition_stubs,
     stub_wcet,
+    stub_wcets,
 )
 from repro.pscp.ports import PortBus, PortError
 from repro.pscp.scheduler import (
@@ -32,5 +33,5 @@ __all__ = [
     "MachineError", "MachineStep", "PortBus", "PortError", "PscpMachine",
     "SLA_OVERHEAD_CYCLES", "SimplePorts", "Tep", "TepError", "TepState",
     "Timer", "TimerBank", "build_transition_stubs", "round_robin_dispatch",
-    "stub_wcet",
+    "stub_wcet", "stub_wcets",
 ]

@@ -23,6 +23,8 @@ class ConfigurationRegister:
     def __init__(self, layout: CrLayout) -> None:
         self.layout = layout
         chart = layout.chart
+        #: the chart's event names, built once for the per-cycle checks
+        self.event_names: FrozenSet[str] = frozenset(chart.events)
         self.events: Set[str] = set()
         self.conditions: Set[str] = {
             name for name, condition in chart.conditions.items()
@@ -33,9 +35,9 @@ class ConfigurationRegister:
     def sample_events(self, external: Iterable[str],
                       internal: Iterable[str]) -> None:
         """Start of a configuration cycle: load this cycle's events."""
-        chart = self.layout.chart
-        events = set(external) | set(internal)
-        unknown = events - set(chart.events)
+        events = set(external)
+        events.update(internal)
+        unknown = events - self.event_names
         if unknown:
             raise KeyError(f"unknown events {sorted(unknown)!r}")
         self.events = events

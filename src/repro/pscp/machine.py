@@ -23,8 +23,10 @@ parallelism across TEPs is a timing model — see
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple)
 
 from repro.isa.codegen import CompiledProgram
 from repro.isa.isa import Imm, Instruction, LabelRef, Op
@@ -47,6 +49,11 @@ from repro.statechart.model import Chart, Transition
 
 class MachineError(Exception):
     """Raised for construction or stepping problems."""
+
+
+#: the event sets of a cycle that sampled or raised nothing: one shared
+#: object instead of a fresh empty frozenset per cycle
+_NO_EVENTS: FrozenSet[str] = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +142,7 @@ class PscpMachine:
         self.arch = compiled.arch
         self.pla = pla if pla is not None else synthesize(chart)
         self.cr = ConfigurationRegister(self.pla.layout)
+        self._event_names = self.cr.event_names
         self.ports = port_bus if port_bus is not None else PortBus()
         self.tat = TransitionAddressTable()
         self._param_names = param_names or {}
@@ -347,7 +355,7 @@ class PscpMachine:
     def step(self, external_events: Iterable[str] = ()) -> MachineStep:
         """Run one configuration cycle."""
         external = set(external_events)
-        unknown = external - set(self.chart.events)
+        unknown = external - self._event_names
         if unknown:
             raise MachineError(f"unknown external events {sorted(unknown)!r}")
         injector = self.injector
@@ -380,7 +388,7 @@ class PscpMachine:
                 if problems:
                     self.cr.configuration = guard.on_illegal_configuration(
                         self.cycle_count, problems)
-        sampled = frozenset(self.cr.events)
+        sampled = frozenset(self.cr.events) if self.cr.events else _NO_EVENTS
         if _psample:
             _pt1 = _pclock()
 
@@ -523,7 +531,8 @@ class PscpMachine:
             end_time=self.time + cycle_length,
             plan=plan,
             events_sampled=sampled,
-            events_raised=frozenset(raised_names),
+            events_raised=(frozenset(raised_names) if raised_names
+                           else _NO_EVENTS),
             faults=() if injector is None else injector.drain_cycle_log(),
             recoveries=() if guard is None else guard.drain_cycle_log(),
         )
@@ -537,8 +546,8 @@ class PscpMachine:
         self.time += cycle_length
         self.cycle_count += 1
         if profiler is not None:
-            profiler.sla_cycles += SLA_OVERHEAD_CYCLES
-            profiler.dispatch_cycles += makespan
+            if makespan:
+                profiler.dispatch_cycles += makespan
             if _psample:
                 profiler.phase_sample(_pt0, _pt1, _pt2, _pt3, _pt4,
                                       _pclock())
@@ -711,10 +720,30 @@ def stub_wcet(transition: Transition, compiled: CompiledProgram,
     """Static worst-case cycles of one transition's stub + routine.
 
     This is the per-transition quantity the timing validator sums along
-    event cycles (plus the scheduler's dispatch overhead).
+    event cycles (plus the scheduler's dispatch overhead).  For many
+    transitions use :func:`stub_wcets`, which evaluates the routine WCETs
+    once.
     """
+    return _stub_wcet(transition, compiled, param_names, compiled.wcets)
+
+
+def stub_wcets(transitions: Iterable[Transition], compiled: CompiledProgram,
+               param_names: Optional[Dict[str, List[str]]] = None
+               ) -> Dict[int, int]:
+    """:func:`stub_wcet` of every transition in *transitions*, keyed by
+    transition index, from at most one ``compiled.wcets()`` pass."""
+    routine_wcets = functools.cache(compiled.wcets)
+    return {transition.index: _stub_wcet(transition, compiled, param_names,
+                                         routine_wcets)
+            for transition in transitions}
+
+
+def _stub_wcet(transition: Transition, compiled: CompiledProgram,
+               param_names: Optional[Dict[str, List[str]]],
+               routine_wcets: Callable[[], Dict[str, int]]) -> int:
+    """One stub's WCET; *routine_wcets* is called only when the stub calls
+    a compiled routine (no ``wcet_override``, no built-in action)."""
     arch = compiled.arch
-    wcets = compiled.wcets()
     if transition.wcet_override is not None:
         # "otherwise explicit timing constraints must be specified"
         return transition.wcet_override
@@ -737,5 +766,5 @@ def stub_wcet(transition: Transition, compiled: CompiledProgram,
                     total += cycle_cost(
                         Instruction(Op.STA, loc.word(word_index)), arch)
         total += cycle_cost(Instruction(Op.CALL, LabelRef(routine)), arch)
-        total += wcets[routine]
+        total += routine_wcets()[routine]
     return total

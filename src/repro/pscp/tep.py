@@ -7,7 +7,9 @@ external RAM, data ports, the per-TEP condition cache, and the event lines
 into the Configuration Register.  Every executed instruction is charged the
 length of its microprogram (:func:`repro.isa.microcode.cycle_cost`), so the
 simulator's cycle counts are *exactly* the quantities the static WCET
-analysis bounds — the property the closed-loop benchmarks check.
+analysis bounds — the property the closed-loop benchmarks check.  The
+charges are computed once per program, as a per-pc cost vector, when the
+TEP is built.
 
 Flag conventions (documented here once, relied on by the code generator):
 
@@ -97,6 +99,14 @@ class Tep:
                 if instruction.label in self.labels:
                     raise TepError(f"duplicate label {instruction.label!r}")
                 self.labels[instruction.label] = index
+        # per-pc charge; ``None`` marks an instruction without a
+        # microprogram, which raises when (and only if) it is executed
+        self._costs: List[Optional[int]] = []
+        for instruction in self.program:
+            try:
+                self._costs.append(cycle_cost(instruction, arch))
+            except IsaError:
+                self._costs.append(None)
         self.ports = ports if ports is not None else SimplePorts()
         self.mask = (1 << arch.data_width) - 1
         self.sign_bit = 1 << (arch.data_width - 1)
@@ -247,12 +257,16 @@ class Tep:
         start_cycles = self.cycles
         pc = self.labels[entry]
         depth = len(self.call_stack)
+        program = self.program
+        costs = self._costs
         try:
             while True:
-                if pc < 0 or pc >= len(self.program):
+                if pc < 0 or pc >= len(program):
                     raise TepError(f"PC out of range: {pc}")
-                instruction = self.program[pc]
-                cost = cycle_cost(instruction, self.arch)
+                instruction = program[pc]
+                cost = costs[pc]
+                if cost is None:
+                    cost = cycle_cost(instruction, self.arch)  # raises
                 self.cycles += cost
                 self.instructions_executed += 1
                 if self.cycles - start_cycles > max_cycles:

@@ -22,12 +22,24 @@ We synthesize a two-level (PLA) network over the CR bits:
 
 The functional reference for all of this is the statechart interpreter; the
 equivalence is property-tested.
+
+The functional evaluator is compiled once, when the :class:`Pla` is built.
+Each product term becomes a ``(mask, value)`` pair over the CR word, so a
+row matches when ``bits & mask == value``.  A reactive chart visits few
+distinct CR words (the SMD loop about three dozen), so :meth:`Pla.enabled`
+memoizes the arbitrated result per CR word.  The memo is bounded at
+:data:`ENABLED_MEMO_LIMIT` entries; once full, new words are evaluated
+directly and nothing is evicted, so results never depend on the order in
+which CR words arrive.  :attr:`Pla.memo_stats` reports its hits, misses and
+size.  :meth:`ProductTerm.matches` stays the literal-by-literal reference
+the compiled rows are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Set, Tuple
 
 from repro.sla.encode import CrLayout, cr_layout
 from repro.statechart.model import Chart, Transition
@@ -47,17 +59,59 @@ class ProductTerm:
     def n_literals(self) -> int:
         return len(self.literals)
 
+    @property
+    def mask_value(self) -> Tuple[int, int]:
+        """The row packed into two CR words: it matches when
+        ``bits & mask == value``."""
+        mask = value = 0
+        for bit, required in self.literals:
+            mask |= 1 << bit
+            if required:
+                value |= 1 << bit
+        return mask, value
 
-@dataclass
+
+#: most CR words one :class:`Pla` memoizes (see the module docstring)
+ENABLED_MEMO_LIMIT = 4096
+
+
+class MemoStats(NamedTuple):
+    """Traffic of the enabled-set memo since the PLA was built."""
+
+    hits: int
+    misses: int
+    size: int
+    limit: int
+
+
+@dataclass(frozen=True, eq=False)
 class Pla:
-    """The synthesized SLA network."""
+    """The synthesized SLA network (immutable once built)."""
 
     layout: CrLayout
     #: per transition index: its product terms (OR-plane row)
-    transition_terms: Dict[int, List[ProductTerm]]
+    transition_terms: Mapping[int, Tuple[ProductTerm, ...]]
     #: per transition index: the higher-priority transition indices that
     #: suppress it (the guard-signal network G0..Gm)
-    guards: Dict[int, FrozenSet[int]]
+    guards: Mapping[int, FrozenSet[int]]
+    #: per transition: (index, its product terms as (mask, value) pairs)
+    _rows: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = field(
+        init=False, repr=False)
+    _memo: Dict[int, Tuple[int, ...]] = field(init=False, repr=False)
+    #: [hits, misses] of the memo
+    _tally: List[int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        terms = {index: tuple(row)
+                 for index, row in self.transition_terms.items()}
+        rows = tuple((index, tuple(term.mask_value for term in row))
+                     for index, row in terms.items())
+        setter = object.__setattr__
+        setter(self, "transition_terms", MappingProxyType(terms))
+        setter(self, "guards", MappingProxyType(dict(self.guards)))
+        setter(self, "_rows", rows)
+        setter(self, "_memo", {})
+        setter(self, "_tally", [0, 0])
 
     @property
     def product_terms(self) -> int:
@@ -69,17 +123,32 @@ class Pla:
                    for terms in self.transition_terms.values()
                    for term in terms)
 
+    @property
+    def memo_stats(self) -> MemoStats:
+        hits, misses = self._tally
+        return MemoStats(hits, misses, len(self._memo), ENABLED_MEMO_LIMIT)
+
     def raw_enabled(self, cr_bits: int) -> List[int]:
         """Transition indices whose PLA output is asserted (pre-guard)."""
-        return [index for index, terms in self.transition_terms.items()
-                if any(term.matches(cr_bits) for term in terms)]
+        return [index for index, pairs in self._rows
+                if any(cr_bits & mask == value for mask, value in pairs)]
 
     def enabled(self, cr_bits: int) -> List[int]:
         """Transition indices after guard arbitration — what the Transition
-        Address Table receives."""
-        raw = set(self.raw_enabled(cr_bits))
-        return sorted(index for index in raw
-                      if not (self.guards[index] & raw))
+        Address Table receives.  Each call returns a fresh list."""
+        result = self._memo.get(cr_bits)
+        if result is not None:
+            self._tally[0] += 1
+            return list(result)
+        self._tally[1] += 1
+        raw = self.raw_enabled(cr_bits)
+        raw_set = set(raw)
+        guards = self.guards
+        result = tuple(sorted(index for index in raw
+                              if not (guards[index] & raw_set)))
+        if len(self._memo) < ENABLED_MEMO_LIMIT:
+            self._memo[cr_bits] = result
+        return list(result)
 
     def output_names(self) -> List[str]:
         return [f"t{index}" for index in sorted(self.transition_terms)]

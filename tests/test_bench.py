@@ -76,6 +76,12 @@ class TestDocumentShape:
         assert profile["opcodes"]  # opcode level attributes instructions
         assert profile["routines"]
 
+    def test_profile_reports_sla_memo(self, elevator_doc):
+        memo = elevator_doc["workloads"]["elevator"]["profile"]["sla_memo"]
+        assert set(memo) == {"hits", "misses", "size", "limit"}
+        assert memo["hits"] > memo["misses"] == memo["size"] > 0
+        assert memo["size"] <= memo["limit"]
+
     def test_document_is_json_ready(self, elevator_doc):
         json.dumps(elevator_doc)
 

@@ -103,3 +103,21 @@ class TestCli:
     def test_missing_file_error(self, tmp_path):
         code, _ = invoke([str(tmp_path / "nope.sc"), str(tmp_path / "nope.c")])
         assert code == 2
+
+
+class TestStatsCli:
+    def test_json_reports_the_sla_memo(self, project):
+        code, text = invoke(["stats", *project, "--json", "--cycles", "200"])
+        assert code == 0
+        document = json.loads(text)
+        assert document["schema_version"] == 2
+        memo = document["sla_memo"]
+        assert set(memo) == {"hits", "misses", "size", "limit"}
+        assert memo["hits"] + memo["misses"] == \
+            document["configuration_cycles"]
+        assert 0 < memo["size"] == memo["misses"] <= memo["limit"]
+
+    def test_text_reports_the_sla_memo(self, project):
+        code, text = invoke(["stats", *project, "--cycles", "200"])
+        assert code == 0
+        assert "SLA memo: " in text and " hits, " in text

@@ -20,6 +20,7 @@ import io
 import json
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
@@ -116,6 +117,39 @@ class TestFlightRecorder:
             [s.start_time for s in tail]
         assert [e["length"] for e in entries] == \
             [s.cycle_length for s in tail]
+
+    def test_bare_cycles_digest_like_full_steps(self, system):
+        machine = system.make_machine()
+        recorder = FlightRecorder(capacity=64)
+        machine.attach_recorder(recorder)
+        stimulus = []
+        for events in round_robin_stimulus(system.chart, 12):
+            stimulus += [events, set(), set()]
+        steps = [machine.step(events) for events in stimulus]
+        bare = [s for s in steps if s.plan is None and not s.events_sampled]
+        assert bare  # the stimulus must produce cycles stored compactly
+        expected = [
+            {"kind": "step", "cycle": cycle, "start": s.start_time,
+             "length": s.cycle_length,
+             "fired": [t.index for t in s.fired],
+             "sampled": sorted(s.events_sampled),
+             "raised": sorted(s.events_raised),
+             "faults": [f.describe() for f in s.faults],
+             "recoveries": [r.describe() for r in s.recoveries]}
+            for cycle, s in enumerate(steps)]
+        assert recorder.entries() == expected
+
+    def test_dispatch_without_events_is_kept_whole(self):
+        # a retry-only cycle: nothing sampled or fired, yet a dispatch ran
+        retry = SimpleNamespace(
+            plan=object(), events_sampled=frozenset(), fired=[],
+            events_raised=frozenset(), faults=(), recoveries=(),
+            start_time=10, cycle_length=57)
+        recorder = FlightRecorder(capacity=4)
+        recorder.record_step(3, retry)
+        [entry] = recorder.entries()
+        assert (entry["cycle"], entry["start"], entry["length"]) == \
+            (3, 10, 57)
 
     def test_recorder_does_not_perturb_the_run(self, system):
         stimulus = round_robin_stimulus(system.chart, 25)

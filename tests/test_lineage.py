@@ -253,6 +253,30 @@ class TestDigester:
         assert cycles == sorted(cycles)
         assert tail[-1]["kind"] == "step"
 
+    def test_quiescent_runs_digest_like_one_hop_per_cycle(self):
+        stimulus = [["GO"], [], [], [], ["GO"], [], [], ["GO"], []]
+        encoded = LineageTracker(tail_limit=64)
+        reference = LineageTracker(tail_limit=64)
+        for cycle, events in enumerate(stimulus):
+            for tracker in (encoded, reference):
+                if events:
+                    tracker.note_injection("GO")
+                    tracker.on_dispatch(cycle, 0, True, set(), ())
+                elif cycle == 2:
+                    # an aborted dispatch in an otherwise quiet cycle
+                    tracker.on_dispatch(cycle, 1, False, set(), ())
+            encoded.on_step(cycle, fake_step(sampled=events))
+            # the unencoded log: one step hop per cycle
+            reference.hops.append(("step", cycle, tuple(events), (), ()))
+        # the dispatch splits the first quiet stretch: four runs in all
+        assert len(encoded.hops) == len(reference.hops) - 2
+        assert encoded.hops[-1] == ("step", [8, 8], (), (), ())
+        assert encoded.dag().to_json() == reference.dag().to_json()
+        assert encoded.tail(64) == reference.tail(64)
+        # a run is closed by ingest: later quiet cycles open a new hop
+        encoded.on_step(9, fake_step())
+        assert encoded.hops == [("step", [9, 9], (), (), ())]
+
     def test_drain_slices_union_to_the_full_dag(self, servers_system):
         stimulus = [["START"], ["REQ0"], ["REQ1"], ["REQ0"]]
         whole = LineageTracker()

@@ -135,7 +135,7 @@ class TestSynthesis:
             b.basic("S").transition("T", label="E [C and not C]")
             b.basic("T")
         pla = synthesize(b.build())
-        assert pla.transition_terms[0] == []
+        assert pla.transition_terms[0] == ()
 
     def test_unresolved_ref_rejected(self):
         from repro.sla import SynthesisError
