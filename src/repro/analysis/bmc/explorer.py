@@ -17,11 +17,14 @@ products instead of ``2^n``" refers to: conditions are part of the node (no
 valuation enumeration at all), and the input alphabet collapses to the
 products' free literals.
 
-One cycle mirrors :meth:`repro.statechart.semantics.Interpreter.step`
-exactly — same enabledness, the *same* :func:`select_transitions` conflict
-resolution, same exit/entry accumulation — so a path through this graph is
-a candidate execution of the real machine.  Action routines are abstracted
-by their effect summaries (:mod:`repro.analysis.effects`), split into
+One cycle is the machine's own step: the explorer synthesizes the chart's
+SLA and packs each node into a CR word, takes what fires from
+:meth:`repro.sla.synth.Pla.enabled` (enabledness and guard arbitration) and
+the next configuration from the :meth:`~repro.sla.synth.Pla.fire` kernel,
+so a path through this graph is a candidate execution of the real machine.
+The statechart interpreter stays the independent reference the edges are
+tested against.  Action routines are abstracted by their effect summaries
+(:mod:`repro.analysis.effects`), split into
 
 * **must** effects — top-level, unconditional ``SetTrue``/``SetFalse``/
   ``Raise`` calls, applied exactly; and
@@ -53,9 +56,9 @@ from repro.action.check import CheckedProgram
 from repro.action.stdlib import is_builtin
 from repro.analysis.chart_lint import enable_products
 from repro.analysis.effects import EffectAnalyzer, Effects
+from repro.sla.synth import synthesize
 from repro.statechart.labels import action_arguments, action_routine_name
 from repro.statechart.model import Chart, Transition
-from repro.statechart.semantics import select_transitions
 
 #: (configuration, true conditions, pending raised events)
 BmcNode = Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]
@@ -236,6 +239,7 @@ class Explorer:
         self.watch_events = frozenset(watch_events) & set(chart.events)
         self._products = {t.index: enable_products(t)
                           for t in chart.transitions}
+        self._pla = synthesize(chart)
         self._outgoing: Dict[str, List[Transition]] = {}
         for transition in chart.transitions:
             self._outgoing.setdefault(transition.source, []).append(
@@ -283,41 +287,29 @@ class Explorer:
         seen: Set[Tuple[FrozenSet[str], BmcNode, Tuple[int, ...]]] = set()
         decisions = self.decision_events(node, space)
         space.decisions[node] = tuple(decisions)
+        event_bits = self._pla.layout.event_bits
+        base = self._pla.layout.pack(pending, conds, config)
         for mask in range(1 << len(decisions)):
             external = frozenset(
                 decisions[i] for i in range(len(decisions))
                 if mask & (1 << i))
-            for edge in self._step(node, external, space):
+            bits = base | sum(1 << event_bits[name] for name in external)
+            for edge in self._step(node, external, bits, space):
                 key = (edge.inputs, edge.target, edge.fired)
                 if key not in seen:
                     seen.add(key)
                     edges.append(edge)
         return edges
 
-    def _step(self, node: BmcNode, external: FrozenSet[str],
+    def _step(self, node: BmcNode, external: FrozenSet[str], bits: int,
               space: ExploredSpace) -> List[Edge]:
-        """All abstract outcomes of one cycle under *external* inputs."""
+        """All abstract outcomes of one cycle under *external* inputs,
+        already sampled into the node's CR word *bits*."""
         config, conds, pending = node
-        visible = external | pending
-        asserted = visible | conds
-        enabled = []
-        for source in sorted(config):
-            for transition in self._outgoing.get(source, ()):
-                trigger, guard = transition.trigger, transition.guard
-                if trigger is not None and not trigger.evaluate(asserted):
-                    continue
-                if guard is not None and not guard.evaluate(asserted):
-                    continue
-                enabled.append(transition)
-        fired = select_transitions(self.chart, enabled)
-
-        new_config = set(config)
-        for transition in fired:
-            exit_set = self.chart.exit_set(transition, frozenset(new_config))
-            new_config -= exit_set
-            new_config |= self.chart.entry_set(transition)
-        frozen_config = frozenset(new_config)
-        fired_indices = tuple(t.index for t in fired)
+        pla = self._pla
+        fired = tuple(pla.enabled(bits))
+        frozen_config = pla.decode(
+            pla.fire(bits, fired) >> pla.layout.state_offset)
 
         # must effects, in firing order; collect may choices
         base_conds = dict.fromkeys(conds, True)
@@ -325,8 +317,8 @@ class Explorer:
         may_cond: List[Tuple[str, Optional[bool]]] = []
         may_raise: List[str] = []
         forks = 1
-        for transition in fired:
-            abstraction = self.actions.get(transition.index)
+        for index in fired:
+            abstraction = self.actions.get(index)
             if abstraction is None:
                 continue
             for name, value in abstraction.must_cond:
@@ -361,8 +353,7 @@ class Explorer:
             target: BmcNode = (frozen_config,
                                frozenset(out_conds),
                                out_raised)
-            edges.append(Edge(inputs=external, target=target,
-                              fired=fired_indices))
+            edges.append(Edge(inputs=external, target=target, fired=fired))
         return edges
 
     @staticmethod

@@ -294,6 +294,20 @@ class MachineGuard:
             self._consecutive_illegal = 0
         return problems
 
+    def check_fired(self, configuration: FrozenSet[str],
+                    transitions: List) -> List[str]:
+        """Check *configuration* after the exit/entry sets of *transitions*.
+
+        Where a stuck-on SLA output fired a transition with an inactive
+        scope, the CR word decodes to a legal configuration; this update
+        leaves the entered states orphaned.  Otherwise the two agree."""
+        chart = self.machine.chart
+        names = set(configuration)
+        for transition in transitions:
+            names -= chart.exit_set(transition, frozenset(names))
+            names |= chart.entry_set(transition)
+        return self.check_configuration(frozenset(names))
+
     def on_illegal_configuration(self, cycle: int,
                                  problems: List[str]) -> FrozenSet[str]:
         """Record the detection; returns the configuration to recover to.

@@ -141,7 +141,7 @@ class PscpMachine:
         self.compiled = compiled
         self.arch = compiled.arch
         self.pla = pla if pla is not None else synthesize(chart)
-        self.cr = ConfigurationRegister(self.pla.layout)
+        self.cr = ConfigurationRegister(self.pla)
         self._event_names = self.cr.event_names
         self.ports = port_bus if port_bus is not None else PortBus()
         self.tat = TransitionAddressTable()
@@ -375,10 +375,11 @@ class PscpMachine:
             external = injector.filter_events(self.cycle_count, external)
         internal = self._pending_internal_events
         self._pending_internal_events = set()
-        self.cr.sample_events(external, internal)
+        sampled = self.cr.sample_events(external, internal) or _NO_EVENTS
         if injector is not None:
             # CR bit upsets, RAM flips, TEP failures, stuck ports
             injector.apply_cycle_faults(self.cycle_count, self)
+            sampled = self.cr.events or _NO_EVENTS
             if guard is not None and injector.state_touched:
                 # the exclusivity checker monitors the CR state part
                 # directly, so a corrupted state word is caught *before*
@@ -388,7 +389,6 @@ class PscpMachine:
                 if problems:
                     self.cr.configuration = guard.on_illegal_configuration(
                         self.cycle_count, problems)
-        sampled = frozenset(self.cr.events) if self.cr.events else _NO_EVENTS
         if _psample:
             _pt1 = _pclock()
 
@@ -497,15 +497,12 @@ class PscpMachine:
 
         if _psample:
             _pt3 = _pclock()
-        # state update (same per-transition order as the interpreter)
-        configuration = set(self.cr.configuration)
-        for transition in transitions:
-            exited = self.chart.exit_set(transition, frozenset(configuration))
-            entered = self.chart.entry_set(transition)
-            configuration -= exited
-            configuration |= entered
-        self.cr.configuration = frozenset(configuration)
-
+        # state update through the SLA's fire masks (same per-transition
+        # order as the interpreter); a cycle with stuck-on SLA outputs is
+        # checked on the name-level update (MachineGuard.check_fired)
+        forced = injector is not None and injector.state_touched
+        before = self.cr.configuration if forced else None
+        self.cr.bits = self.pla.fire(self.cr.bits, enabled)
         self.cr.reset_events()
         self._pending_internal_events |= raised_names
 
@@ -514,7 +511,8 @@ class PscpMachine:
                 or (injector is not None and injector.state_touched)):
             # exclusivity-set check: the natural parity of the Drusinsky
             # encoding — recover to the declared safe state on violation
-            problems = guard.check_configuration(self.cr.configuration)
+            problems = (guard.check_fired(before, transitions) if forced
+                        else guard.check_configuration(self.cr.configuration))
             if problems:
                 self.cr.configuration = guard.on_illegal_configuration(
                     self.cycle_count, problems)
@@ -639,7 +637,7 @@ class PscpMachine:
 
     # -- convenience ------------------------------------------------------------
     def condition(self, name: str) -> bool:
-        return name in self.cr.conditions
+        return self.cr.condition(name)
 
     def in_state(self, name: str) -> bool:
         return name in self.cr.configuration

@@ -2,11 +2,13 @@
 
 A :class:`MachineSnapshot` captures the *complete architectural state* of a
 :class:`~repro.pscp.machine.PscpMachine` at a configuration-cycle boundary:
-the CR event/condition/state parts, the TEP's registers, flags, RAM and
-condition cache, pending Transition Address Table entries, pending internal
-events (raised-event traffic waiting for the next cycle's sample), the port
-latches, the condition-cache bus counters, the failed-TEP set and the time
-and cycle counters.  Optionally it also captures:
+the CR event/condition/state parts (plus the raw ``state_word`` when a
+state upset left an OR selector on a code point the names cannot hold),
+the TEP's registers, flags, RAM and condition cache, pending Transition
+Address Table entries, pending internal events (raised-event traffic
+waiting for the next cycle's sample), the port latches, the condition-cache
+bus counters, the failed-TEP set and the time and cycle counters.
+Optionally it also captures:
 
 * an attached :class:`~repro.fault.injector.FaultInjector`'s remaining
   faults, armed re-deliveries and stuck ports, and
@@ -124,7 +126,7 @@ class MachineSnapshot:
     arch: str
     cycle_count: int
     time: int
-    cr: Dict[str, List[str]]
+    cr: Dict[str, Any]
     pending_internal_events: List[str]
     executor: Dict[str, Any]
     tat_pending: List[int]
@@ -245,6 +247,9 @@ def snapshot_machine(machine, include_attachments: bool = True,
         },
         failed_teps=sorted(machine.failed_teps),
     )
+    word = machine.cr.state_word
+    if machine.pla.layout.encoding.encode(machine.cr.configuration) != word:
+        snap.cr["state_word"] = word
     if timer_bank is not None:
         snap.timers = [timer.snapshot_state() for timer in timer_bank.timers]
     if include_attachments:
@@ -330,9 +335,11 @@ def restore_machine(machine, snapshot: MachineSnapshot,
 
     machine.cycle_count = snapshot.cycle_count
     machine.time = snapshot.time
-    machine.cr.events = set(snapshot.cr["events"])
-    machine.cr.conditions = set(snapshot.cr["conditions"])
-    machine.cr.configuration = frozenset(snapshot.cr["configuration"])
+    machine.cr.bits = machine.pla.layout.pack(
+        snapshot.cr["events"], snapshot.cr["conditions"],
+        snapshot.cr["configuration"])
+    if "state_word" in snapshot.cr:
+        machine.cr.state_word = snapshot.cr["state_word"]
     machine._pending_internal_events = set(snapshot.pending_internal_events)
 
     executor = machine.executor

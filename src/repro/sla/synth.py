@@ -33,13 +33,21 @@ directly and nothing is evicted, so results never depend on the order in
 which CR words arrive.  :attr:`Pla.memo_stats` reports its hits, misses and
 size.  :meth:`ProductTerm.matches` stays the literal-by-literal reference
 the compiled rows are tested against.
+
+So is the state update: per transition, ``clear`` drops the fields below
+its scope and ``enter`` is its encoded entry set.  :meth:`Pla.fire`, the
+step kernel of the machine and the model checker, folds them over the CR
+word (``bits = (bits & clear) | enter``).  :meth:`Pla.decode` maps a state
+word to its configuration through a table bounded like the memo
+(:data:`DECODE_MEMO_LIMIT`, no eviction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Tuple)
 
 from repro.sla.encode import CrLayout, cr_layout
 from repro.statechart.model import Chart, Transition
@@ -73,6 +81,8 @@ class ProductTerm:
 
 #: most CR words one :class:`Pla` memoizes (see the module docstring)
 ENABLED_MEMO_LIMIT = 4096
+#: most state words one :class:`Pla` decodes into its table
+DECODE_MEMO_LIMIT = 4096
 
 
 class MemoStats(NamedTuple):
@@ -93,24 +103,33 @@ class Pla:
     transition_terms: Mapping[int, Tuple[ProductTerm, ...]]
     #: per transition index: the higher-priority transition indices that
     #: suppress it (the guard-signal network G0..Gm)
-    guards: Mapping[int, FrozenSet[int]]
+    guards: Mapping[int, FrozenSet[int]] = field(init=False)
     #: per transition: (index, its product terms as (mask, value) pairs)
     _rows: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = field(
         init=False, repr=False)
+    #: per transition index: its (clear, enter) fire masks
+    _fire: Tuple[Tuple[int, int], ...] = field(init=False, repr=False)
     _memo: Dict[int, Tuple[int, ...]] = field(init=False, repr=False)
+    _decoded: Dict[int, FrozenSet[str]] = field(init=False, repr=False)
     #: [hits, misses] of the memo
     _tally: List[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        chart = self.layout.chart
+        scopes = {t.index: chart.transition_scope(t)
+                  for t in chart.transitions}
         terms = {index: tuple(row)
                  for index, row in self.transition_terms.items()}
         rows = tuple((index, tuple(term.mask_value for term in row))
                      for index, row in terms.items())
         setter = object.__setattr__
         setter(self, "transition_terms", MappingProxyType(terms))
-        setter(self, "guards", MappingProxyType(dict(self.guards)))
+        setter(self, "guards",
+               MappingProxyType(_guard_network(chart, scopes)))
         setter(self, "_rows", rows)
+        setter(self, "_fire", _fire_masks(self.layout, scopes))
         setter(self, "_memo", {})
+        setter(self, "_decoded", {})
         setter(self, "_tally", [0, 0])
 
     @property
@@ -149,6 +168,25 @@ class Pla:
         if len(self._memo) < ENABLED_MEMO_LIMIT:
             self._memo[cr_bits] = result
         return list(result)
+
+    def fire(self, cr_bits: int, fired: Iterable[int]) -> int:
+        """The CR word after the *fired* transitions commit their state
+        updates, in order — the SLA's state-part write."""
+        masks = self._fire
+        for index in fired:
+            clear, enter = masks[index]
+            cr_bits = (cr_bits & clear) | enter
+        return cr_bits
+
+    def decode(self, state_word: int) -> FrozenSet[str]:
+        """The configuration held by *state_word* (the CR >> state offset)."""
+        configuration = self._decoded.get(state_word)
+        if configuration is not None:
+            return configuration
+        configuration = self.layout.encoding.active_states(state_word)
+        if len(self._decoded) < DECODE_MEMO_LIMIT:
+            self._decoded[state_word] = configuration
+        return configuration
 
     def output_names(self) -> List[str]:
         return [f"t{index}" for index in sorted(self.transition_terms)]
@@ -220,28 +258,37 @@ def synthesize(chart: Chart, onehot: bool = False) -> Pla:
                     terms.append(ProductTerm(tuple(sorted(combined.items()))))
         transition_terms[transition.index] = terms
 
-    guards = _guard_network(chart)
-    return Pla(layout, transition_terms, guards)
+    return Pla(layout, transition_terms)
 
 
-def _guard_network(chart: Chart) -> Dict[int, FrozenSet[int]]:
-    """Which transitions suppress which (outer scope wins, then index)."""
-    guards: Dict[int, Set[int]] = {t.index: set() for t in chart.transitions}
-    transitions = chart.transitions
-    for a in transitions:
-        scope_a = chart.transition_scope(a)
-        for b in transitions:
-            if a.index == b.index:
-                continue
-            scope_b = chart.transition_scope(b)
-            related = (chart.is_ancestor(scope_a, scope_b)
-                       or chart.is_ancestor(scope_b, scope_a))
-            if not related:
-                continue
-            # b beats a if b's scope is strictly outer, or same depth
-            # with a smaller index
-            depth_a = chart.depth(scope_a)
-            depth_b = chart.depth(scope_b)
-            if depth_b < depth_a or (depth_b == depth_a and b.index < a.index):
-                guards[a.index].add(b.index)
-    return {index: frozenset(values) for index, values in guards.items()}
+def _guard_network(chart: Chart, scopes: Mapping[int, str]
+                   ) -> Dict[int, FrozenSet[int]]:
+    """Which transitions suppress which: b beats a when their scopes are
+    ancestrally related and b's is strictly outer, or as deep with a
+    smaller index."""
+    chains = {scope: chart.ancestors_and_self(scope)
+              for scope in set(scopes.values())}
+    return {a: frozenset(b for b, scope_b in scopes.items()
+                         if (scope_a in chains[scope_b]
+                             or scope_b in chains[scope_a])
+                         and (len(chains[scope_b]), b)
+                         < (len(chains[scope_a]), a))
+            for a, scope_a in scopes.items()}
+
+
+def _fire_masks(layout: CrLayout, scopes: Mapping[int, str]
+                ) -> Tuple[Tuple[int, int], ...]:
+    """Per transition, the ``(clear, enter)`` pair of :meth:`Pla.fire`."""
+    chart, encoding = layout.chart, layout.encoding
+    offset = layout.state_offset
+    fields = {name: sum(((1 << c.width) - 1) << c.offset for c in row)
+              for name, row in encoding.constraints.items()}
+    masks = []
+    for transition in chart.transitions:
+        scope = scopes[transition.index]
+        below = 0
+        for state in chart.descendants(scope):
+            below |= fields[state]
+        enter = encoding.encode(chart.entry_set(transition))
+        masks.append((~((below & ~fields[scope]) << offset), enter << offset))
+    return tuple(masks)

@@ -64,10 +64,11 @@ def select_transitions(chart: Chart,
     """Resolve conflicts among *enabled* transitions: outermost scope wins,
     ties by declaration order.
 
-    This is the single implementation of the SLA's guard-signal exclusivity;
-    the interpreter and the bounded model checker
-    (:mod:`repro.analysis.bmc`) both call it so their step relations cannot
-    drift apart.
+    This is the interpreter's implementation of the SLA's guard-signal
+    exclusivity.  The machine and the bounded model checker
+    (:mod:`repro.analysis.bmc`) use the synthesized guard network
+    (:meth:`repro.sla.synth.Pla.enabled`) instead, which is tested against
+    this function.
     """
     ranked = sorted(
         enabled,

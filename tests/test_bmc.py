@@ -293,6 +293,12 @@ class TestCheckCli:
         # the previously heuristic deadline claims are now proofs
         assert text.count("PSC610") == 4
 
+    def test_elevator_workload_matches_golden(self):
+        status, text = invoke(["check", "--workload", "elevator"])
+        assert status == 0
+        assert text == (GOLDEN / "check_elevator.txt").read_text()
+        assert "(181 states)" in text
+
     def test_missing_properties_file_exits_2(self, repo_cwd):
         status, _ = check_fixture("safe", "--properties", "no/such/file")
         assert status == 2

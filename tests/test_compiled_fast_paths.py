@@ -3,6 +3,9 @@
 * the SLA's ``(mask, value)`` rows and its bounded enabled-set memo
   against literal-by-literal :meth:`ProductTerm.matches` plus guard
   arbitration;
+* the SLA's fire-mask kernel and bounded decode table against the chart's
+  exit/entry sets, and every edge the bounded model checker builds with
+  them against the statechart interpreter;
 * every TEP's per-pc cost vector against the unmemoized, microprogram-
   length :func:`cycle_cost`;
 * the batch :func:`stub_wcets` against per-transition :func:`stub_wcet`.
@@ -14,15 +17,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.action.check import Checker, Externals
+from repro.action.parser import parse_with_preamble
+from repro.analysis.bmc.explorer import Explorer, abstract_actions
 from repro.flow import build_system
-from repro.fuzz.generator import generate_spec, render_chart
+from repro.fuzz.generator import generate_spec, render_chart, render_source
 from repro.isa.arch import MD16_TEP, MINIMAL_TEP
 from repro.isa.isa import Imm, Instruction, Mem, Op
 from repro.isa.microcode import cycle_cost, microprogram
 from repro.pscp.machine import stub_wcet, stub_wcets
 from repro.pscp.tep import Tep
 from repro.sla import synthesize
-from repro.sla.synth import ENABLED_MEMO_LIMIT
+from repro.statechart.semantics import Interpreter
+from repro.sla.synth import DECODE_MEMO_LIMIT, ENABLED_MEMO_LIMIT
 from repro.workloads.elevator import ELEVATOR_ROUTINES, elevator_chart
 from repro.workloads.smd import SMD_ROUTINES, smd_chart
 
@@ -97,6 +104,128 @@ class TestSlaMemo:
             pla.guards = {}
         with pytest.raises(TypeError):
             pla.transition_terms[0] = ()
+
+
+def reachable_configurations(chart, rng, cycles=60):
+    """Configurations the interpreter visits under random events and
+    random condition writes."""
+    interpreter = Interpreter(chart)
+    events, conditions = list(chart.events), list(chart.conditions)
+    seen = [interpreter.configuration]
+    for _ in range(cycles):
+        for name in conditions:
+            if rng.random() < 0.2:
+                interpreter.set_condition(name, rng.random() < 0.5)
+        interpreter.step(name for name in events if rng.random() < 0.3)
+        seen.append(interpreter.configuration)
+    return list(dict.fromkeys(seen))
+
+
+def names_next(chart, configuration, transitions):
+    """The interpreter's state update: ``cfg - exit_set | entry_set``."""
+    configuration = frozenset(configuration)
+    for transition in transitions:
+        configuration = (configuration
+                         - chart.exit_set(transition, configuration)
+                         | chart.entry_set(transition))
+    return configuration
+
+
+class TestFireKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_kernel_equals_exit_entry_sets(self, seed, onehot, rng):
+        chart = render_chart(generate_spec(seed))
+        pla = synthesize(chart, onehot=onehot)
+        layout = pla.layout
+
+        def decode(bits):
+            return pla.decode(bits >> layout.state_offset)
+
+        for configuration in reachable_configurations(chart, rng):
+            for transition in chart.transitions:
+                if transition.source not in configuration:
+                    continue
+                conditions = [name for name in chart.conditions
+                              if rng.random() < 0.5]
+                bits = layout.pack((), conditions, configuration)
+                after = pla.fire(bits, [transition.index])
+                assert decode(after) == names_next(
+                    chart, configuration, [transition])
+                # the kernel writes the state part only
+                low = (1 << layout.state_offset) - 1
+                assert after & low == bits & low
+            events = [name for name in chart.events if rng.random() < 0.4]
+            conditions = [name for name in chart.conditions
+                          if rng.random() < 0.5]
+            bits = layout.pack(events, conditions, configuration)
+            fired = pla.enabled(bits)
+            assert decode(pla.fire(bits, fired)) == names_next(
+                chart, configuration,
+                [chart.transitions[index] for index in fired])
+
+    def test_decode_stays_at_bound_and_stays_correct(self):
+        pla = synthesize(smd_chart(), onehot=True)
+        encoding = pla.layout.encoding
+        assert 2 ** encoding.width > DECODE_MEMO_LIMIT + 500
+        rng = random.Random(5)
+        words = rng.sample(range(2 ** encoding.width),
+                           DECODE_MEMO_LIMIT + 500)
+        for word in words:
+            assert pla.decode(word) == encoding.active_states(word)
+        assert len(pla._decoded) == DECODE_MEMO_LIMIT
+        # the first words stay in the table, later ones are decoded anew
+        assert set(pla._decoded) == set(words[:DECODE_MEMO_LIMIT])
+        for word in words[-500:] + words[:500]:
+            assert pla.decode(word) == encoding.active_states(word)
+        assert len(pla._decoded) == DECODE_MEMO_LIMIT
+
+
+def explorer_for(chart, source, **bounds):
+    program = parse_with_preamble(source)
+    checked = Checker(program, Externals.from_chart(chart)).analyze()
+    return Explorer(chart, abstract_actions(chart, checked), **bounds)
+
+
+def assert_edges_match_interpreter(chart, space):
+    """Every explored edge, replayed on an interpreter placed at its
+    source node, fires the same transitions into the same configuration."""
+    checked = 0
+    for node, edges in space.edges.items():
+        configuration, conditions, pending = node
+        for edge in edges:
+            interpreter = Interpreter(chart)
+            interpreter.configuration = configuration
+            for name in chart.conditions:
+                interpreter.set_condition(name, name in conditions)
+            for name in pending:
+                interpreter.raise_event(name)
+            result = interpreter.step(edge.inputs)
+            assert tuple(t.index for t in result.fired) == edge.fired
+            assert result.configuration == edge.target[0]
+            checked += 1
+    return checked
+
+
+class TestExplorerAgainstInterpreter:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_generated_chart_edges(self, seed):
+        spec = generate_spec(seed)
+        chart = render_chart(spec)
+        explorer = explorer_for(chart, render_source(spec), depth=8,
+                                max_states=300)
+        assert assert_edges_match_interpreter(chart, explorer.explore())
+
+    @pytest.mark.parametrize("workload", ["smd", "elevator"])
+    def test_workload_edges(self, workload):
+        chart_of, routines = WORKLOADS[workload]
+        chart = chart_of()
+        space = explorer_for(chart, routines).explore()
+        assert space.complete
+        assert assert_edges_match_interpreter(chart, space) >= len(
+            space.nodes)
 
 
 ARCHS = {

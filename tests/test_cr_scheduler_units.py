@@ -8,7 +8,7 @@ from repro.pscp.scheduler import (
     DISPATCH_OVERHEAD_CYCLES,
     round_robin_dispatch,
 )
-from repro.sla import cr_layout
+from repro.sla import synthesize
 from repro.statechart import ChartBuilder
 
 
@@ -25,7 +25,7 @@ def small_chart():
 class TestConfigurationRegister:
     def make_cr(self):
         chart = small_chart()
-        return chart, ConfigurationRegister(cr_layout(chart))
+        return chart, ConfigurationRegister(synthesize(chart))
 
     def test_initial_state(self):
         chart, cr = self.make_cr()
@@ -58,8 +58,15 @@ class TestConfigurationRegister:
 
     def test_state_update(self):
         chart, cr = self.make_cr()
-        cr.update_states(exited={"A"}, entered={"B"})
+        conditions = cr.conditions
+        (transition,) = chart.transitions  # A -> B
+        cr.bits = cr.pla.fire(cr.bits, [transition.index])
         assert "B" in cr.configuration and "A" not in cr.configuration
+        assert cr.configuration == (
+            chart.initial_configuration()
+            - chart.exit_set(transition, chart.initial_configuration())
+            | chart.entry_set(transition))
+        assert cr.conditions == conditions and cr.events == set()
 
     def test_bits_roundtrip_through_layout(self):
         chart, cr = self.make_cr()

@@ -7,6 +7,7 @@ state versus a machine with no injector at all.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.flow import build_system
 from repro.isa import CodeGenerator, MD16_TEP, NameMaps, prepare_program
 from repro.pscp import PscpMachine, round_robin_dispatch
 from repro.pscp.machine import MachineError
-from repro.statechart import ChartBuilder
+from repro.statechart import ChartBuilder, parse_chart
 from repro.workloads import (
     MoveCommand,
     SMD_MUTUAL_EXCLUSIONS,
@@ -342,6 +343,61 @@ class TestExclusivityChecker:
         assert step.recoveries[0].recovered
         assert machine.cr.configuration == guard.safe_state
         assert machine.in_state("A")
+
+    def test_state_upset_leaves_one_view(self):
+        # the configuration the CR reports is the one the SLA evaluates,
+        # also when an OR selector lands on an unused code point (the
+        # elevator's binary encoding has such points below Cab1)
+        from repro.workloads.elevator import ELEVATOR_ROUTINES, \
+            elevator_chart
+        machine = build_system(elevator_chart(), ELEVATOR_ROUTINES,
+                               MD16_TEP).make_machine()
+        machine.step({"POWER_ON"})
+        machine.step({"DISPATCH1"})
+        assert machine.in_state("Moving1")
+        layout = machine.pla.layout
+        moving = machine.cr.configuration
+        illegal = 0
+        for bit in range(layout.encoding.width):
+            machine.cr.configuration = moving
+            upset = machine.cr.corrupt_state_bit(bit)
+            assert upset == machine.cr.configuration
+            assert layout.unpack(machine.cr.bits)[2] == upset
+            illegal += bool(configuration_problems(machine.chart, upset))
+        assert illegal >= 1
+
+    def test_stuck_on_output_with_inactive_scope_detected(self):
+        # stuck-on SLA outputs whose scopes are inactive (the plan of the
+        # seed-2, 3-faults-per-run restore campaign's sla-stuck-on run):
+        # the CR's fire masks would write a legal-looking word, the check
+        # of the name-level update catches the orphaned entry states
+        plan = FaultPlan((Fault("sla-stuck-on", 320, 3),
+                          Fault("sla-stuck-on", 7393, 7),
+                          Fault("sla-stuck-on", 10635, 11)))
+        guard = MachineGuard(escalate_unrecoverable=True)
+        campaign = FaultCampaign(self.smd_system())
+        loop = campaign._closed_loop(injector=FaultInjector(plan),
+                                     guard=guard)
+        loop.run([MoveCommand(60, 45, 8)], max_configuration_cycles=20000,
+                 restore_from_checkpoint=True)
+        assert [d.describe() for d in guard.detections] == [
+            "illegal-configuration@7393 (Bounds active but parent "
+            "DataPreparation is not) [recovered]",
+            "illegal-configuration@10635 (Moving active but parent "
+            "ReachPosition is not) [recovered]"]
+
+    @staticmethod
+    def smd_system():
+        # the system `repro faults examples/smd` builds (the parsed chart
+        # numbers its transitions in file order)
+        project = pathlib.Path(__file__).resolve().parent.parent / \
+            "examples" / "smd"
+        chart = parse_chart((project / "chart.sc").read_text())
+        arch = MD16_TEP.with_(n_teps=2,
+                              mutual_exclusions=SMD_MUTUAL_EXCLUSIONS,
+                              microcode_optimized=True)
+        return build_system(chart, (project / "routines.c").read_text(),
+                            arch, specialize=True)
 
     def test_declared_safe_state_must_be_legal(self):
         machine = build_machine(tri_chart(), "")

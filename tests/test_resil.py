@@ -151,6 +151,28 @@ class TestSnapshotRoundTrip:
         machine2.restore(reparsed)
         assert machine2.cr.configuration == machine.cr.configuration
 
+    def test_state_upset_round_trips_the_cr_word(self):
+        # on the elevator's binary encoding an upset of state bit 7 from
+        # Moving1 leaves Cab1's selector on an unused code point: the
+        # names show Cab1 childless, which re-encodes to Parked1
+        from repro.workloads.elevator import ELEVATOR_ROUTINES, \
+            elevator_chart
+        system = build_system(elevator_chart(), ELEVATOR_ROUTINES, MD16_TEP)
+        machine = system.make_machine()
+        machine.step({"POWER_ON"})
+        machine.step({"DISPATCH1"})
+        assert machine.in_state("Moving1")
+        machine.cr.corrupt_state_bit(7)
+        assert not machine.in_state("Parked1")
+        text = machine.snapshot().to_json_str()
+        restored = system.make_machine()
+        restored.restore(MachineSnapshot.from_json_str(text))
+        assert restored.cr.bits == machine.cr.bits
+        assert restored.cr.configuration == machine.cr.configuration
+        # a word the names hold exactly adds no key to the document
+        machine.cr.configuration = machine.cr.configuration
+        assert "state_word" not in machine.snapshot().cr
+
     def test_snapshotting_does_not_perturb_the_run(self):
         chart = pingpong_chart()
         stimulus = [{"GO"}, {"BACK"}, set(), {"GO"}, {"BACK"}, {"GO"}]
